@@ -118,10 +118,16 @@ def compare_system(name: str) -> dict:
 
 _PERF: dict[str, dict] = {}
 
-#: Label stamped into the snapshot; bump alongside the checked-in file
-#: name.  ``REPRO_BENCH_LABEL`` overrides it for side-channel snapshots
-#: (e.g. the CI obs-overhead gate's "OBS" run).
-BASELINE_LABEL = os.environ.get("REPRO_BENCH_LABEL", "PR10")
+#: The current snapshot's label; the suites write ``BENCH_<label>.json``
+#: and ``bench_compare.py`` judges that file by default.
+SNAPSHOT_LABEL = "PR10"
+SNAPSHOT_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), f"BENCH_{SNAPSHOT_LABEL}.json"
+)
+
+#: Label stamped into the snapshot.  ``REPRO_BENCH_LABEL`` overrides it
+#: for side-channel snapshots (e.g. the CI obs-overhead gate's "OBS" run).
+BASELINE_LABEL = os.environ.get("REPRO_BENCH_LABEL", SNAPSHOT_LABEL)
 
 
 def _git_sha() -> str | None:

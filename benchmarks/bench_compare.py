@@ -1,12 +1,13 @@
 """Compare a fresh benchmark snapshot against prior baselines.
 
-The bench suites write ``BENCH_PR9.json`` (see ``conftest.py``); this
-tool diffs it against one or more checked-in baselines and fails on
-regressions, so CI can gate perf the way tests gate correctness::
+The bench suites write the snapshot named by
+``bench_common.SNAPSHOT_PATH`` (``BENCH_PR10.json``); this tool diffs
+it against one or more checked-in baselines and fails on regressions,
+so CI can gate perf the way tests gate correctness::
 
     python benchmarks/bench_compare.py \
-        --current benchmarks/BENCH_PR9.json \
-        --against benchmarks/BENCH_PR8.json \
+        --current benchmarks/BENCH_PR10.json \
+        --against benchmarks/BENCH_PR9.json \
         --max-regress 0.10
 
 With several ``--against`` files the comparison runs against the *best*
@@ -36,6 +37,8 @@ import argparse
 import json
 import os
 import sys
+
+from bench_common import SNAPSHOT_PATH
 
 
 def load_snapshot(path: str) -> dict:
@@ -159,11 +162,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Diff a benchmark snapshot against prior baselines"
     )
-    default_current = os.path.join(os.path.dirname(__file__), "BENCH_PR9.json")
     parser.add_argument(
         "--current",
-        default=default_current,
-        help="snapshot to judge (default: benchmarks/BENCH_PR9.json)",
+        default=SNAPSHOT_PATH,
+        help="snapshot to judge (default: benchmarks/"
+        f"{os.path.basename(SNAPSHOT_PATH)})",
     )
     parser.add_argument(
         "--against",

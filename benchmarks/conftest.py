@@ -14,19 +14,22 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from bench_common import record_table, recorded_tables, write_perf_baseline  # noqa: E402
+from bench_common import (  # noqa: E402
+    SNAPSHOT_PATH,
+    record_table,
+    recorded_tables,
+    write_perf_baseline,
+)
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the machine-readable perf baseline (see BENCH_PR10.json).
+    """Persist the machine-readable perf baseline to ``SNAPSHOT_PATH``.
 
     ``REPRO_BENCH_JSON`` overrides the output path; nothing is written
     when no benchmark exercised :func:`bench_common.compare_system`.
     Compare the result against a prior baseline with ``bench_compare.py``.
     """
-    path = os.environ.get("REPRO_BENCH_JSON") or os.path.join(
-        os.path.dirname(__file__), "BENCH_PR10.json"
-    )
+    path = os.environ.get("REPRO_BENCH_JSON") or SNAPSHOT_PATH
     write_perf_baseline(path)
 
 

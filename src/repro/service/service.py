@@ -15,6 +15,10 @@ serve``.  It owns:
 * a worker thread (lease → run → complete), a heartbeat thread (lease
   extension while the engine is busy), and the reaper fold into the
   worker loop (requeue expired leases, dead-letter repeat orphans).
+  The idle worker blocks in :meth:`JobStore.wait_for_work`: it wakes
+  when a job is queued or requeued, on :meth:`SynthesisService.stop`,
+  and when the earliest outstanding lease can expire — there is no
+  poll interval.
 
 Everything observable flows through one :class:`~repro.obs.EventStream`:
 the service emits the lifecycle kinds (``job_queued`` / ``job_leased``
@@ -73,6 +77,9 @@ from .store import JobRecord, JobState, JobStore, replay_summary
 
 logger = logging.getLogger("repro.service")
 
+#: How long the worker loop backs off after an unexpected exception.
+_ERROR_BACKOFF_SECONDS = 0.1
+
 
 class AdmissionRejected(RuntimeError):
     """A submission was refused by admission control (HTTP 429)."""
@@ -90,7 +97,6 @@ class ServiceConfig:
     data_dir: str
     run_config: RunConfig = field(default_factory=RunConfig)
     lease_seconds: float = 30.0
-    poll_seconds: float = 0.1
     batch_size: int | None = None     # leased per worker cycle (default: workers)
     max_redeliveries: int = 3
     segment_records: int = 512
@@ -206,6 +212,7 @@ class SynthesisService:
         everything this process executed is returned.
         """
         self._stopping.set()
+        self.store.wake()
         for engine in list(self._engines.values()):
             engine.request_stop()
         deadline = time.time() + (self.config.drain_seconds if drain else 0.0)
@@ -360,7 +367,7 @@ class SynthesisService:
                     batch_size, self.config.lease_seconds
                 )
                 if not leased:
-                    self._stopping.wait(self.config.poll_seconds)
+                    self.store.wait_for_work(self._stopping)
                     continue
                 for record in leased:
                     self.events.emit(
@@ -375,7 +382,7 @@ class SynthesisService:
                     self._run_group(group)
             except Exception:  # noqa: BLE001 - the loop must survive anything
                 logger.exception("service worker loop error")
-                self._stopping.wait(self.config.poll_seconds)
+                self._stopping.wait(_ERROR_BACKOFF_SECONDS)
 
     def _reap(self) -> None:
         requeued, dead = self.store.reap_expired()

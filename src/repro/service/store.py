@@ -30,6 +30,11 @@ nothing.  Design:
 * **Idempotency**: jobs are keyed by the engine's content hash
   (:func:`repro.engine.cache_key`); resubmitting an identical job
   returns the existing record instead of enqueueing duplicate work.
+* **Wake-ups**: a condition over the store lock is notified whenever a
+  job becomes leasable (a created submit, a requeue, a lease reaped)
+  and on :meth:`close`.  :meth:`wait_for_work` blocks on it until a job
+  is queued or the earliest outstanding lease can expire, so a worker
+  neither polls nor misses a wake-up.
 
 The store is in-process (one service owns one directory) and
 thread-safe; the HTTP front end and the worker/reaper threads share it
@@ -213,6 +218,7 @@ class JobStore:
         self._by_key: dict[str, str] = {}  # idempotency key -> job id
         self._events: dict[str, deque[dict[str, Any]]] = {}
         self._lock = threading.RLock()
+        self._work = threading.Condition(self._lock)
         self._counter = 0
         self._lease_counter = 0
         self._segment = 1
@@ -389,14 +395,60 @@ class JobStore:
             self._compact_locked()
 
     def close(self) -> None:
-        """Compact and release the WAL handle (safe to skip: that is the
-        crash case the WAL exists for)."""
+        """Compact, release the WAL handle, and wake every waiter (safe
+        to skip: that is the crash case the WAL exists for)."""
         with self._lock:
             if self._handle is None:
                 return
             self._compact_locked()
             self._handle.close()
             self._handle = None
+            self._work.notify_all()
+
+    # ------------------------------------------------------------------
+    # Waiting for work
+    # ------------------------------------------------------------------
+
+    def wake(self) -> None:
+        """Wake every thread blocked in :meth:`wait_for_work`."""
+        with self._work:
+            self._work.notify_all()
+
+    def wait_for_work(self, stop: threading.Event | None = None) -> None:
+        """Block until a job is queued or a lease can expire.
+
+        Also returns once the store is closed (it has no WAL handle),
+        or once ``stop`` is set and :meth:`wake` called.  Everything is checked under the store
+        lock, so a wake-up between the caller's last :meth:`lease` and
+        this call is never lost.  With no job queued and none leased,
+        the wait has no timeout at all.
+        """
+        with self._work:
+            while not (
+                self._handle is None or (stop is not None and stop.is_set())
+            ):
+                if any(
+                    record.state == JobState.QUEUED
+                    for record in self._jobs.values()
+                ):
+                    return
+                expiry = self._next_expiry_locked()
+                timeout = None if expiry is None else expiry - time.time()
+                if timeout is not None and timeout <= 0:
+                    return
+                self._work.wait(timeout)
+
+    def _next_expiry_locked(self) -> float | None:
+        """The earliest ``lease_expires_wall`` of a leased/running job."""
+        return min(
+            (
+                record.lease_expires_wall
+                for record in self._jobs.values()
+                if record.state in (JobState.LEASED, JobState.RUNNING)
+                and record.lease_expires_wall is not None
+            ),
+            default=None,
+        )
 
     # ------------------------------------------------------------------
     # Submission and lookup
@@ -456,6 +508,7 @@ class JobStore:
             self._jobs[record.job_id] = record
             self._by_key[key] = record.job_id
             self._append({"kind": SUBMIT_KIND, "job": record.as_dict()})
+            self._work.notify_all()
             return record, True
 
     def get(self, job_id: str) -> JobRecord:
@@ -647,6 +700,7 @@ class JobStore:
             record.lease_expires_wall = None
             self._transition(record, JobState.QUEUED, reason, now)
             self._log_update(record)
+            self._work.notify_all()
             return record
 
     def cancel(self, job_id: str, now: float | None = None) -> JobRecord:
@@ -706,6 +760,8 @@ class JobStore:
                     )
                     requeued.append(record)
                 self._log_update(record)
+            if requeued:
+                self._work.notify_all()
         return requeued, dead
 
     def recover_orphans(

@@ -37,7 +37,7 @@ def call(base, path, payload=None, method=None, timeout=10.0):
 @pytest.fixture
 def server(tmp_path):
     service = SynthesisService(
-        ServiceConfig(data_dir=str(tmp_path / "svc"), poll_seconds=0.02)
+        ServiceConfig(data_dir=str(tmp_path / "svc"))
     )
     thread = ServerThread(service).start()
     yield thread
@@ -93,7 +93,7 @@ class TestEndpoints:
 
     def test_result_of_running_job_conflicts(self, tmp_path):
         service = SynthesisService(
-            ServiceConfig(data_dir=str(tmp_path / "svc2"), poll_seconds=0.02)
+            ServiceConfig(data_dir=str(tmp_path / "svc2"))
         )
         thread = ServerThread(service).start()
         try:
@@ -153,7 +153,7 @@ class TestBackpressure:
             clock=lambda: 0.0,  # frozen: the bucket never refills
         )
         service = SynthesisService(
-            ServiceConfig(data_dir=str(tmp_path / "svc3"), poll_seconds=0.02),
+            ServiceConfig(data_dir=str(tmp_path / "svc3")),
             admission=admission,
         )
         thread = ServerThread(service).start()
@@ -176,7 +176,7 @@ class TestBackpressure:
 
     def test_draining_server_is_not_ready(self, tmp_path):
         service = SynthesisService(
-            ServiceConfig(data_dir=str(tmp_path / "svc4"), poll_seconds=0.02)
+            ServiceConfig(data_dir=str(tmp_path / "svc4"))
         )
         thread = ServerThread(service).start()
         thread.stop()

@@ -32,7 +32,6 @@ def make_service(tmp_path, **overrides) -> SynthesisService:
     admission = overrides.pop("admission", None)
     config = ServiceConfig(
         data_dir=str(tmp_path / "svc"),
-        poll_seconds=0.02,
         **overrides,
     )
     return SynthesisService(config, admission=admission)
@@ -148,6 +147,56 @@ class TestAdmission:
                 system_to_dict(tiny_system()), method="no-such-method"
             )
         service.store.close()
+
+
+class TestWakeOnWork:
+    def test_idle_worker_does_not_poll_the_store(self, tmp_path):
+        service = make_service(tmp_path)
+        calls = []
+        lease = service.store.lease
+
+        def spy(*args, **kwargs):
+            calls.append(time.time())
+            return lease(*args, **kwargs)
+
+        service.store.lease = spy
+        service.start()
+        try:
+            time.sleep(0.3)
+        finally:
+            service.stop()
+        assert len(calls) <= 1
+
+    def test_stop_on_idle_service_does_not_wait_for_the_drain(self, tmp_path):
+        service = make_service(tmp_path, drain_seconds=10.0)
+        service.start()
+        time.sleep(0.1)  # let the worker block on the empty store
+        started = time.time()
+        service.stop(drain=True)
+        assert time.time() - started < 1.0
+        assert not service._worker.is_alive()
+
+    def test_expired_lease_is_reaped_when_it_expires(self, tmp_path):
+        """A job leased by a holder that never heartbeats (a crashed
+        one) is requeued once its lease runs out, then run to done."""
+        service = make_service(tmp_path)
+        service.start()
+        try:
+            with service.store._lock:  # lease it before the worker can
+                record, _ = service.submit(system_to_dict(tiny_system(5)))
+                [leased] = service.store.lease(1, 0.2)
+                expires = leased.lease_expires_wall
+            done = wait_terminal(service, record.job_id)
+        finally:
+            service.stop()
+        assert done.state == JobState.DONE
+        assert done.redeliveries == 1
+        assert done.attempts == 1
+        [reaped] = [
+            note for note in done.history
+            if note["note"].startswith("lease expired")
+        ]
+        assert expires <= reaped["wall"] < expires + 1.0
 
 
 class TestIdempotentReuse:

@@ -1,6 +1,8 @@
 """Tests for the crash-safe WAL job store (repro.service.store)."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -166,6 +168,73 @@ class TestLeasesAndReaper:
         requeued, dead = store.recover_orphans()
         assert [r.job_id for r in requeued] == [record.job_id]
         assert store.get(record.job_id).state == JobState.QUEUED
+
+
+def start_waiter(store, stop=None):
+    """Run ``store.wait_for_work`` on a thread; the event marks its return."""
+    returned = threading.Event()
+
+    def wait():
+        store.wait_for_work(stop)
+        returned.set()
+
+    threading.Thread(target=wait, daemon=True).start()
+    return returned
+
+
+class TestWaitForWork:
+    def test_submit_wakes_a_blocked_waiter(self, tmp_path):
+        store = JobStore(tmp_path)
+        returned = start_waiter(store)
+        assert not returned.wait(0.2)  # nothing queued, nothing leased
+        submit(store)
+        assert returned.wait(1.0)
+        store.close()
+
+    def test_requeue_wakes_a_blocked_waiter(self, tmp_path):
+        store = JobStore(tmp_path)
+        record, _ = submit(store)
+        [leased] = store.lease(1, 3600.0)
+        returned = start_waiter(store)
+        assert not returned.wait(0.2)  # the only job is leased for an hour
+        store.requeue(record.job_id, leased.lease_id, "handed back")
+        assert returned.wait(1.0)
+        store.close()
+
+    def test_close_wakes_a_blocked_waiter(self, tmp_path):
+        store = JobStore(tmp_path)
+        returned = start_waiter(store)
+        assert not returned.wait(0.2)
+        store.close()
+        assert returned.wait(1.0)
+
+    def test_stop_event_and_wake_end_the_wait(self, tmp_path):
+        store = JobStore(tmp_path)
+        stop = threading.Event()
+        returned = start_waiter(store, stop)
+        assert not returned.wait(0.2)
+        stop.set()
+        store.wake()
+        assert returned.wait(1.0)
+        store.close()
+
+    def test_wait_ends_when_the_earliest_lease_can_expire(self, tmp_path):
+        store = JobStore(tmp_path)
+        submit(store)
+        [leased] = store.lease(1, 0.3)
+        expires = leased.lease_expires_wall
+        returned = start_waiter(store)
+        assert returned.wait(2.0)
+        assert time.time() >= expires
+        requeued, _ = store.reap_expired()
+        assert [r.job_id for r in requeued] == [leased.job_id]
+        store.close()
+
+    def test_queued_job_returns_at_once(self, tmp_path):
+        store = JobStore(tmp_path)
+        submit(store)
+        store.wait_for_work()  # would block forever if it missed the job
+        store.close()
 
 
 class TestDurability:
